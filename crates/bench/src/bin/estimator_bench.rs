@@ -159,6 +159,7 @@ fn run_tier(rows: usize, entries: &mut Vec<Entry>) {
                 workers: 1,
                 stats: HotStats::default(),
                 index_cache: None,
+                moments_cache: None,
             };
             let estimate = kind
                 .estimate_with_ctx(&mut ctx, df, &group, &treated, outcome, &adjustment)

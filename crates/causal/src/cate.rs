@@ -7,14 +7,15 @@
 //! supplied per query (see [`Estimator`]), so one long-lived engine serves
 //! repeated solves under different estimators while sharing its caches.
 //!
-//! Four caches persist across queries:
+//! Five caches persist across queries:
 //!
 //! * adjustment sets, derived from the DAG once per treatment-attribute set;
 //! * treated-row masks, one per intervention pattern;
-//! * KD-tree match indices ([`MatchIndexCache`]), one per
-//!   `(subgroup, adjustment set)` — the matching estimator's standardized
-//!   design and tree are built once and reused across the whole
-//!   intervention sweep over that subgroup;
+//! * KD-tree match indices ([`MatchIndexCache`]) and linear group moments
+//!   ([`MomentsCache`]), one per `(subgroup, adjustment set)` — the
+//!   matching estimator's standardized design and tree, and the linear
+//!   estimator's `[1, Z]` gram, are built once and reused across the
+//!   whole intervention sweep over that subgroup;
 //! * full estimates, keyed by `(estimator, group, intervention)` — the cache
 //!   the greedy phase and repeated constraint re-solves hit hardest. This
 //!   one is a [`ShardedLruCache`]: lookups contend on one of its lock
@@ -35,6 +36,7 @@
 
 use crate::backdoor::find_adjustment_set_names;
 use crate::error::{CausalError, Result};
+use crate::estimate::linear::GroupMoments;
 use crate::estimate::matching::MatchIndex;
 use crate::estimate::{kernel, Estimate, EstimateCtx, Estimator, HotStats};
 use crate::graph::Dag;
@@ -69,74 +71,80 @@ pub struct CacheStats {
 /// engine; 16 shards keep them off each other's locks.
 const ESTIMATE_CACHE_SHARDS: usize = 16;
 
-/// Default entry bound of the match-index cache. Indices are heavy
+/// Entry bound of the match-index cache. Indices are heavy
 /// (standardized design + KD-tree, O(rows·dim) floats each) and a solve
 /// only sweeps a handful of subgroups at a time, so a small LRU bound
 /// keeps reuse high without letting index memory grow with the sweep.
 const MATCH_INDEX_CACHE_CAPACITY: usize = 32;
 
-/// Lock shards of the match-index cache; fewer distinct keys than the
+/// Entry bound of the linear estimator's group-moments cache. A Step-2
+/// worker sweeps a group's coverage and then its protected and
+/// non-protected halves, each under one adjustment set per treatment
+/// attribute set. On a cold Stack Overflow 10⁴-row solve (14.3k distinct
+/// keys) 64 entries build 15.9k moments, 32 build 20.2k; each entry is
+/// O(rows · adjustment columns), a few MB in all at 64.
+const MOMENTS_CACHE_CAPACITY: usize = 64;
+
+/// Lock shards of the per-group caches; fewer distinct keys than the
 /// estimate cache, so fewer shards suffice.
-const MATCH_INDEX_CACHE_SHARDS: usize = 4;
+const GROUP_CACHE_SHARDS: usize = 4;
 
-/// Session-lived cache of matching indices ([`MatchIndex`]: standardized
-/// columnar design + KD-tree), keyed by `(subgroup fingerprint, adjustment
-/// set)`. The matching estimator's index depends only on the subgroup rows
-/// and the adjustment covariates — *not* on the intervention — so one index
-/// serves the entire pattern sweep against a subgroup. LRU-bounded because
-/// each index holds O(rows · dim) floats.
-pub struct MatchIndexCache {
-    cache: ShardedLruCache<(u64, Vec<String>), Arc<MatchIndex>>,
+/// Session-lived LRU cache of a treatment-independent structure derived
+/// from one subgroup and one adjustment set, keyed by `(subgroup
+/// fingerprint, adjustment set)`. Such a structure serves the entire
+/// intervention sweep against that subgroup. The engine keeps two: the
+/// matching estimator's [`MatchIndex`] ([`MatchIndexCache`]) and the linear
+/// estimator's [`GroupMoments`] ([`MomentsCache`]).
+pub struct GroupCache<V> {
+    cache: ShardedLruCache<(u64, Vec<String>), Arc<V>>,
 }
 
-impl Default for MatchIndexCache {
-    fn default() -> Self {
-        Self::with_capacity(MATCH_INDEX_CACHE_CAPACITY)
-    }
-}
+/// KD-tree match indices (standardized columnar design + tree).
+pub type MatchIndexCache = GroupCache<MatchIndex>;
 
-impl std::fmt::Debug for MatchIndexCache {
+/// Group moments of the linear estimator (gram of `[1, Z]`, `Zᵀy`, and
+/// the group-dense covariates and outcome).
+pub type MomentsCache = GroupCache<GroupMoments>;
+
+impl<V> std::fmt::Debug for GroupCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatchIndexCache")
+        f.debug_struct("GroupCache")
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
-impl MatchIndexCache {
-    /// A cache bounded to `capacity` indices (LRU eviction).
+impl<V> GroupCache<V> {
+    /// A cache bounded to `capacity` entries (LRU eviction).
     pub fn with_capacity(capacity: usize) -> Self {
-        MatchIndexCache {
-            cache: ShardedLruCache::new(capacity, MATCH_INDEX_CACHE_SHARDS),
+        GroupCache {
+            cache: ShardedLruCache::new(capacity, GROUP_CACHE_SHARDS),
         }
     }
 
-    /// Return the cached index for `(group_fp, adjustment)`, building (and
-    /// caching) it on miss. Build costs are charged to `stats`
-    /// (`build_ns`/`index_ns`); a hit charges nothing.
-    #[allow(clippy::too_many_arguments)] // mirrors the estimator signature plus the cache key
+    /// Return the cached entry for `(group_fp, adjustment)`, building (and
+    /// caching) it with `build` on a miss.
     pub fn get_or_build(
         &self,
         group_fp: u64,
-        df: &DataFrame,
-        group: &Mask,
-        outcome: &str,
         adjustment: &[String],
-        workers: usize,
-        stats: &mut HotStats,
-    ) -> Result<Arc<MatchIndex>> {
+        build: impl FnOnce() -> Result<V>,
+    ) -> Result<Arc<V>> {
         let key = (group_fp, adjustment.to_vec());
         if let Some(hit) = self.cache.get(&key) {
             return Ok(hit);
         }
-        let built = Arc::new(MatchIndex::build(
-            df, group, outcome, adjustment, workers, stats,
-        )?);
+        let built = Arc::new(build()?);
         self.cache.insert(key, Arc::clone(&built));
         Ok(built)
     }
 
-    /// Hit/miss/entry/eviction counters of the index cache.
+    /// The entry bound.
+    pub fn capacity(&self) -> usize {
+        self.cache.capacity()
+    }
+
+    /// Hit/miss/entry/eviction counters.
     pub fn stats(&self) -> CacheStats {
         let c = self.cache.counters();
         CacheStats {
@@ -204,6 +212,8 @@ pub struct CateEngine {
     per_estimator: Mutex<HashMap<String, CacheStats>>,
     /// KD-tree match indices, shared across the matching sweep.
     match_index_cache: MatchIndexCache,
+    /// Linear-estimator group moments, shared across the linear sweep.
+    moments_cache: MomentsCache,
     /// Hot-path cost totals across every estimation run.
     hot: Mutex<EngineHotStats>,
     /// Per-estimator-name estimate-duration histograms (nanoseconds per
@@ -246,7 +256,8 @@ impl CateEngine {
             treated_cache: Mutex::new(HashMap::new()),
             estimate_cache: ShardedLruCache::unbounded(ESTIMATE_CACHE_SHARDS),
             per_estimator: Mutex::new(HashMap::new()),
-            match_index_cache: MatchIndexCache::default(),
+            match_index_cache: MatchIndexCache::with_capacity(MATCH_INDEX_CACHE_CAPACITY),
+            moments_cache: MomentsCache::with_capacity(MOMENTS_CACHE_CAPACITY),
             hot: Mutex::new(EngineHotStats::default()),
             estimate_hist: Mutex::new(BTreeMap::new()),
         })
@@ -433,6 +444,7 @@ impl CateEngine {
             workers: kernel::auto_workers(group.count()),
             stats: HotStats::default(),
             index_cache: Some((&self.match_index_cache, group_fp)),
+            moments_cache: Some((&self.moments_cache, group_fp)),
         };
         let t0 = Instant::now();
         let result = estimator
@@ -501,6 +513,11 @@ impl CateEngine {
     /// Hit/miss counters of the match-index cache.
     pub fn match_index_cache_stats(&self) -> CacheStats {
         self.match_index_cache.stats()
+    }
+
+    /// The linear estimator's group-moments cache (for inspection).
+    pub fn moments_cache(&self) -> &MomentsCache {
+        &self.moments_cache
     }
 
     /// Bound the estimate cache to at most `capacity` entries, evicting

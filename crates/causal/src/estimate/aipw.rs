@@ -78,7 +78,7 @@ pub fn estimate_with(
     // Shared design [1, Z...] over the group rows: the propensity model and
     // both per-arm outcome regressions all read the same columnar encoding.
     let t0 = Instant::now();
-    let x = kernel::build_columns(df, adjustment, group, None, workers, &mut stats.tasks)?;
+    let x = kernel::build_columns(df, adjustment, group, workers, &mut stats.tasks)?;
     let y = kernel::gather_outcome(df, outcome, group)?;
     let t = kernel::gather_indicator(group, treated);
     stats.build_ns += t0.elapsed().as_nanos() as u64;

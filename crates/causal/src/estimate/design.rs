@@ -27,20 +27,10 @@ impl CovariateBlock {
                 Ok(CovariateBlock::Numeric { values })
             }
             Column::Cat(c) => {
-                let mut remap = vec![u32::MAX; c.cardinality()];
-                let mut levels = 0u32;
-                for i in group.iter_ones() {
-                    let code = c.codes()[i] as usize;
-                    if remap[code] == u32::MAX {
-                        remap[code] = levels;
-                        levels += 1;
-                    }
-                }
+                let (remap, levels) =
+                    observed_levels(c.codes(), c.cardinality(), group.iter_ones());
                 let codes = c.codes().iter().map(|&cd| remap[cd as usize]).collect();
-                Ok(CovariateBlock::OneHot {
-                    codes,
-                    levels: levels as usize,
-                })
+                Ok(CovariateBlock::OneHot { codes, levels })
             }
         }
     }
@@ -67,6 +57,28 @@ impl CovariateBlock {
             }
         }
     }
+}
+
+/// Re-code dictionary `codes` (of a column with `cardinality` codes) to
+/// the levels observed over `rows`, numbered in order of first
+/// occurrence: returns the code → level map (`u32::MAX` for codes never
+/// observed) and the number of levels. Level 0 is the one-hot encoding's
+/// dropped reference level.
+pub(crate) fn observed_levels(
+    codes: &[u32],
+    cardinality: usize,
+    rows: impl Iterator<Item = usize>,
+) -> (Vec<u32>, usize) {
+    let mut remap = vec![u32::MAX; cardinality];
+    let mut levels = 0u32;
+    for i in rows {
+        let code = codes[i] as usize;
+        if remap[code] == u32::MAX {
+            remap[code] = levels;
+            levels += 1;
+        }
+    }
+    (remap, levels as usize)
 }
 
 /// Build the full covariate design for `adjustment` over `group` rows:

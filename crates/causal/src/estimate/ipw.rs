@@ -67,7 +67,7 @@ pub fn estimate_with(
     // Propensity design: [1, Z...]; with an empty adjustment set the model
     // degenerates to the marginal treatment rate (as it should).
     let t0 = Instant::now();
-    let x = kernel::build_columns(df, adjustment, group, None, workers, &mut stats.tasks)?;
+    let x = kernel::build_columns(df, adjustment, group, workers, &mut stats.tasks)?;
     let y = kernel::gather_outcome(df, outcome, group)?;
     let t = kernel::gather_indicator(group, treated);
     stats.build_ns += t0.elapsed().as_nanos() as u64;

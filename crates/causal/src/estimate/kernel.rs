@@ -12,10 +12,9 @@
 //!   decoding set bits with `trailing_zeros`, and writes each design
 //!   column as a contiguous `Vec<f64>`. Unselected 64-row spans cost one
 //!   comparison.
-//! * **Blocked accumulation** — [`gram_columns`], [`xty_columns`],
-//!   [`weighted_gram_score`] and [`arm_gram_xty`] stream column pairs in
-//!   `BLOCK`-row chunks, so both operand columns stay cache-resident
-//!   across the `k²/2` entry loop.
+//! * **Blocked accumulation** — [`weighted_gram_score`] and
+//!   [`arm_gram_xty`] stream column pairs in `BLOCK`-row chunks, so both
+//!   operand columns stay cache-resident across the `k²/2` entry loop.
 //! * **Within-estimate parallelism** — the per-output-column loops fan out
 //!   as [`crate::exec`] task units. Each task owns exactly one output slot
 //!   and the per-entry accumulation order (ascending row within ascending
@@ -76,8 +75,7 @@ pub(crate) fn fan_out<T: Send>(
 
 /// A design matrix stored column-major: `cols()[c][r]` is the value of
 /// design column `c` at (group-dense) row `r`. Column 0 is always the
-/// intercept; [`build_columns`] optionally inserts the treatment
-/// indicator as column 1 ahead of the covariate blocks.
+/// intercept, followed by the covariate blocks.
 #[derive(Debug, Clone)]
 pub struct ColumnDesign {
     cols: Vec<Vec<f64>>,
@@ -112,27 +110,22 @@ impl ColumnDesign {
     }
 }
 
-/// Assemble the `[1, (T,) Z…]` design over the rows of `group` in
-/// column-major order with the fused word-at-a-time gather. With
-/// `treated = Some(t)`, column 1 is the 0/1 treatment indicator (the OLS
-/// layout); with `None` the covariate blocks start at column 1 (the
-/// propensity / per-arm / matching layout). Covariate blocks assemble in
-/// parallel (one task per adjustment column) when `workers > 1`.
+/// Assemble the `[1, Z…]` design over the rows of `group` in column-major
+/// order with the fused word-at-a-time gather: the intercept, then the
+/// covariate blocks from column 1 (the propensity / per-arm / matching
+/// layout). Covariate blocks assemble in parallel (one task per adjustment
+/// column) when `workers > 1`.
 pub fn build_columns(
     df: &DataFrame,
     adjustment: &[String],
     group: &Mask,
-    treated: Option<&Mask>,
     workers: usize,
     tasks: &mut u64,
 ) -> Result<ColumnDesign> {
     let n = group.count();
     let (blocks, z_width) = design::build_blocks(df, adjustment, group)?;
-    let mut cols = Vec::with_capacity(2 + z_width);
+    let mut cols = Vec::with_capacity(1 + z_width);
     cols.push(vec![1.0; n]);
-    if let Some(t) = treated {
-        cols.push(indicator_column(group, t));
-    }
     let assembled = fan_out(blocks.len(), workers, tasks, |b| {
         assemble_block(&blocks[b], group, n)
     });
@@ -179,24 +172,6 @@ fn assemble_block(block: &design::CovariateBlock, group: &Mask, n: usize) -> Vec
     }
 }
 
-/// The 0/1 indicator of `of` restricted to the set rows of `group`, as a
-/// dense f64 column (word-fused: `of`'s word is combined with the group
-/// word in a register).
-fn indicator_column(group: &Mask, of: &Mask) -> Vec<f64> {
-    let of_words = of.as_words();
-    let mut col = Vec::with_capacity(group.count());
-    group.view().for_each_set_word(|wi, word| {
-        let t = of_words[wi];
-        let mut w = word;
-        while w != 0 {
-            let b = w.trailing_zeros();
-            col.push(((t >> b) & 1) as f64);
-            w &= w - 1;
-        }
-    });
-    col
-}
-
 /// The boolean indicator of `of` restricted to the set rows of `group`
 /// (dense, group order).
 pub fn gather_indicator(group: &Mask, of: &Mask) -> Vec<bool> {
@@ -231,61 +206,6 @@ pub fn gather_outcome(df: &DataFrame, outcome: &str, group: &Mask) -> Result<Vec
         }
     }
     Ok(out)
-}
-
-/// `XᵀX` over column-major design columns: blocked, no zero-skipping,
-/// ascending-row accumulation per entry. One executor task per output
-/// column `j` computes the entries `(i ≤ j, j)`; the symmetric mirror is
-/// filled afterwards. Bit-identical to [`super::reference::gram_naive`]
-/// for any block size and worker count.
-pub fn gram_columns(cols: &[Vec<f64>], workers: usize, tasks: &mut u64) -> Matrix {
-    let k = cols.len();
-    let entries = fan_out(k, workers, tasks, |j| {
-        let cj = &cols[j];
-        let n = cj.len();
-        let mut acc = vec![0.0f64; j + 1];
-        let mut start = 0;
-        while start < n {
-            let end = (start + BLOCK).min(n);
-            let cj_b = &cj[start..end];
-            for (i, slot) in acc.iter_mut().enumerate() {
-                let ci_b = &cols[i][start..end];
-                let mut a = *slot;
-                for (x, y) in ci_b.iter().zip(cj_b) {
-                    a += x * y;
-                }
-                *slot = a;
-            }
-            start = end;
-        }
-        acc
-    });
-    let mut g = Matrix::zeros(k, k);
-    for (j, acc) in entries.iter().enumerate() {
-        for (i, &v) in acc.iter().enumerate() {
-            g.set(i, j, v);
-            g.set(j, i, v);
-        }
-    }
-    g
-}
-
-/// `Xᵀy` over column-major design columns (blocked, no zero-skipping; one
-/// task per design column).
-pub fn xty_columns(cols: &[Vec<f64>], y: &[f64], workers: usize, tasks: &mut u64) -> Vec<f64> {
-    fan_out(cols.len(), workers, tasks, |j| {
-        let cj = &cols[j];
-        let mut a = 0.0f64;
-        let mut start = 0;
-        while start < cj.len() {
-            let end = (start + BLOCK).min(cj.len());
-            for (x, v) in cj[start..end].iter().zip(&y[start..end]) {
-                a += x * v;
-            }
-            start = end;
-        }
-        a
-    })
 }
 
 /// One IRLS step's reductions in a single fused pass: the weighted gram
@@ -420,38 +340,18 @@ mod tests {
     fn columns_match_row_major_assembly() {
         let df = frame();
         let group = Mask::from_indices(8, &[0, 2, 3, 5, 7]);
-        let treated = Mask::from_indices(8, &[0, 3, 5]);
         let adj = ["c".to_owned(), "x".to_owned()];
         let mut tasks = 0;
-        let d = build_columns(&df, &adj, &group, Some(&treated), 1, &mut tasks).unwrap();
+        let d = build_columns(&df, &adj, &group, 1, &mut tasks).unwrap();
         let rows: Vec<usize> = group.iter_ones().collect();
-        // Row-major reference: [1, T, onehot(c), x] per group row.
+        // Row-major reference: [1, onehot(c), x] per group row.
         let x = design::build_intercept_design(&df, &adj, &group, &rows).unwrap();
         assert_eq!(d.n(), rows.len());
-        assert_eq!(d.k(), 1 + x.cols()); // design adds the T column
-        for (dense, &row) in rows.iter().enumerate() {
+        assert_eq!(d.k(), x.cols());
+        for dense in 0..rows.len() {
             assert_eq!(d.cols()[0][dense], 1.0);
-            let want_t = if treated.get(row) { 1.0 } else { 0.0 };
-            assert_eq!(d.cols()[1][dense], want_t);
-            for c in 1..x.cols() {
-                assert_eq!(d.cols()[1 + c][dense].to_bits(), x.get(dense, c).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn gram_matches_dense_matrix_gram() {
-        // No zeros in the operands, so Matrix::gram's zero-skip never
-        // fires and the two accumulation orders coincide term-for-term.
-        let cols = vec![vec![1.0, 2.0, 3.0, 4.0], vec![0.5, 1.5, 2.5, 3.5]];
-        let rows: Vec<Vec<f64>> = (0..4).map(|r| vec![cols[0][r], cols[1][r]]).collect();
-        let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let dense = Matrix::from_rows(&row_refs).gram();
-        let mut tasks = 0;
-        let g = gram_columns(&cols, 1, &mut tasks);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(g.get(i, j).to_bits(), dense.get(i, j).to_bits());
+            for c in 0..x.cols() {
+                assert_eq!(d.cols()[c][dense].to_bits(), x.get(dense, c).to_bits());
             }
         }
     }
@@ -479,13 +379,16 @@ mod tests {
                     .collect()
             })
             .collect();
+        let w: Vec<f64> = (0..n).map(|r| 0.5 + (r % 3) as f64).collect();
+        let resid: Vec<f64> = (0..n).map(|r| (r % 11) as f64 - 5.0).collect();
         let mut t_serial = 0;
-        let serial = gram_columns(&cols, 1, &mut t_serial);
+        let (serial, s_score) = weighted_gram_score(&cols, &w, &resid, 1, &mut t_serial);
         assert_eq!(t_serial, 0, "serial runs must not count fan-out tasks");
         let mut t_par = 0;
-        let par = gram_columns(&cols, 3, &mut t_par);
+        let (par, p_score) = weighted_gram_score(&cols, &w, &resid, 3, &mut t_par);
         assert_eq!(t_par, 3);
         for i in 0..3 {
+            assert_eq!(p_score[i].to_bits(), s_score[i].to_bits());
             for j in 0..3 {
                 assert_eq!(par.get(i, j).to_bits(), serial.get(i, j).to_bits());
             }

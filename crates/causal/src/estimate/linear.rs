@@ -1,19 +1,66 @@
-//! OLS linear-adjustment CATE estimator.
+//! OLS linear-adjustment CATE estimator over group moments.
 //!
 //! Fits `O ~ 1 + T + Z` on the subgroup rows, where `T` is the 0/1 treatment
 //! indicator and `Z` the one-hot-encoded adjustment covariates (first level
 //! dropped per covariate; numeric covariates enter directly). The coefficient
 //! on `T` is the CATE; its standard error comes from `σ̂²(XᵀX)⁻¹`.
+//!
+//! # Group moments
+//!
+//! Within one subgroup every intervention of the lattice sweep shares the
+//! adjustment covariates `Z`; only `T` changes. [`GroupMoments`] holds what
+//! does not depend on `T`, built once per `(subgroup, adjustment set)`:
+//!
+//! * the gram of `[1, Z]` and `[1, Z]ᵀy`, each entry summed over the
+//!   group's rows in ascending row order;
+//! * the group-dense covariates (per one-hot block, each row's level; per
+//!   numeric block, its values) and the outcome `y`.
+//!
+//! Per treatment, one pass over the treated rows gives `n_t`, `tᵀZ` and
+//! `tᵀy`. They border the cached gram into the `[1, T, Z]` normal
+//! equations, which are factored once (`linalg::SpdFactor`, with the ridge
+//! ladder): the same factor yields `β` and the `(1,1)` entry of `(XᵀX)⁻¹`.
+//! The residual sum of squares comes from one pass over the group in
+//! column order (intercept, `T`, then each covariate block through its
+//! `β` entry), O(rows · adjustment columns) instead of O(rows · design
+//! width).
+//!
+//! # Bit identity
+//!
+//! Every estimate has the bits of the row-major oracle
+//! [`reference::linear_naive`](super::reference::linear_naive)
+//! (property-tested in `tests/prop_kernels.rs`):
+//!
+//! * one-hot × one-hot and `T` × one-hot entries are integer counts, exact
+//!   in f64;
+//! * numeric and outcome entries are sums in ascending row order, as in
+//!   the full design; the rows a masked sum skips only ever add ±0 there,
+//!   which leaves a sum unchanged. That needs finite inputs: a group with
+//!   a non-finite outcome or numeric covariate is refused, as the full
+//!   design's residuals would be non-finite;
+//! * the Cholesky factor does not depend on the right-hand side, so one
+//!   factor gives the bits of separate `solve_spd` and `inverse_spd` calls;
+//! * a non-finite `β` is refused: the full design's fitted values would
+//!   pick up `0·∞ = NaN`.
+//!
+//! # Caching
+//!
+//! Through [`EstimateCtx`](super::EstimateCtx) the
+//! [`CateEngine`](crate::cate::CateEngine) hands in its
+//! [`MomentsCache`], keyed by `(group fingerprint, adjustment set)` and
+//! LRU-bounded by a constant entry count. A call without one
+//! ([`estimate`]) builds its moments and uses them once.
 
-use super::{kernel, Estimate, HotStats, MIN_ARM_SIZE};
+use super::{design, kernel, Estimate, HotStats, MIN_ARM_SIZE};
+use crate::cate::MomentsCache;
 use crate::error::{CausalError, Result};
-use crate::linalg::{inverse_spd, solve_spd};
+use crate::linalg::{Matrix, SpdFactor};
 use faircap_table::stats::t_sf_two_sided;
-use faircap_table::{DataFrame, Mask};
+use faircap_table::{Column, DataFrame, Mask};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Estimate the CATE by linear regression with automatic worker
-/// selection. See module docs.
+/// Estimate the CATE by linear regression. See module docs.
 pub fn estimate(
     df: &DataFrame,
     group: &Mask,
@@ -21,27 +68,28 @@ pub fn estimate(
     outcome: &str,
     adjustment: &[String],
 ) -> Result<Estimate> {
-    let workers = kernel::auto_workers(group.count());
     estimate_with(
         df,
         group,
         treated,
         outcome,
         adjustment,
-        workers,
+        None,
         &mut HotStats::default(),
     )
 }
 
-/// Linear-regression estimate over the columnar kernels, with an explicit
-/// worker count and hot-path cost accounting.
+/// Linear-regression estimate from the group's moments: taken from
+/// `moments_cache` (keyed by the subgroup fingerprint) when given, built
+/// for this call otherwise. The lookup or build is charged to
+/// `stats.build_ns`.
 pub fn estimate_with(
     df: &DataFrame,
     group: &Mask,
     treated: &Mask,
     outcome: &str,
     adjustment: &[String],
-    workers: usize,
+    moments_cache: Option<(&MomentsCache, u64)>,
     stats: &mut HotStats,
 ) -> Result<Estimate> {
     let n = group.count();
@@ -52,58 +100,351 @@ pub fn estimate_with(
             "insufficient overlap: {n_treated} treated / {n_control} control"
         )));
     }
-
-    // Column layout: [intercept, T, covariate blocks...], assembled
-    // column-major with the fused word-at-a-time gather.
     let t0 = Instant::now();
-    let x = kernel::build_columns(
-        df,
-        adjustment,
-        group,
-        Some(treated),
-        workers,
-        &mut stats.tasks,
-    )?;
-    let y = kernel::gather_outcome(df, outcome, group)?;
+    let build = || GroupMoments::build(df, group, outcome, adjustment);
+    let moments = match moments_cache {
+        Some((cache, group_fp)) => cache.get_or_build(group_fp, adjustment, build)?,
+        None => Arc::new(build()?),
+    };
     stats.build_ns += t0.elapsed().as_nanos() as u64;
-    let k = x.k();
-    if n <= k + 1 {
-        return Err(CausalError::Estimation(format!(
-            "too few rows ({n}) for {k} regressors"
-        )));
+    moments.estimate(group, treated, n_treated)
+}
+
+/// One adjustment covariate over the group's rows, group-dense. Its
+/// `[1, Z]` columns start at `col`.
+#[derive(Debug)]
+enum DenseBlock {
+    /// Each row's level (`of_row`) among the `levels` observed in the
+    /// group; level `l ≥ 1` is column `col + l − 1`, level 0 the dropped
+    /// reference.
+    OneHot {
+        col: usize,
+        levels: usize,
+        of_row: Vec<u32>,
+    },
+    /// Each row's value, in column `col`.
+    Numeric { col: usize, values: Vec<f64> },
+}
+
+impl DenseBlock {
+    /// Gather covariate `name` over the group's `rows`, encoded as
+    /// [`design::CovariateBlock`] encodes it.
+    fn gather(df: &DataFrame, name: &str, rows: &[usize], col: usize) -> Result<DenseBlock> {
+        Ok(match df.column(name)? {
+            Column::Cat(c) => {
+                let (remap, levels) =
+                    design::observed_levels(c.codes(), c.cardinality(), rows.iter().copied());
+                let codes = c.codes();
+                DenseBlock::OneHot {
+                    col,
+                    levels,
+                    of_row: rows.iter().map(|&i| remap[codes[i] as usize]).collect(),
+                }
+            }
+            column => DenseBlock::Numeric {
+                col,
+                values: rows
+                    .iter()
+                    .map(|&i| column.get_f64(i).unwrap_or(0.0))
+                    .collect(),
+            },
+        })
     }
 
-    let gram = kernel::gram_columns(x.cols(), workers, &mut stats.tasks);
-    let xty = kernel::xty_columns(x.cols(), &y, workers, &mut stats.tasks);
-    let beta = solve_spd(&gram, &xty)?;
-
-    // Residual variance and the (1,1) entry of (XᵀX)⁻¹ for the SE of T.
-    let fitted = kernel::mat_vec_columns(x.cols(), &beta);
-    let rss: f64 = y
-        .iter()
-        .zip(&fitted)
-        .map(|(yi, fi)| (yi - fi) * (yi - fi))
-        .sum();
-    let dof = (n - k) as f64;
-    let sigma2 = rss / dof;
-    let inv = inverse_spd(&gram)?;
-    let var_t = sigma2 * inv.get(1, 1);
-    let cate = beta[1];
-    if var_t <= 0.0 || !var_t.is_finite() {
-        return Err(CausalError::Estimation(
-            "degenerate variance for treatment coefficient".into(),
-        ));
+    /// First `[1, Z]` column.
+    fn col(&self) -> usize {
+        match self {
+            DenseBlock::OneHot { col, .. } | DenseBlock::Numeric { col, .. } => *col,
+        }
     }
-    let std_err = var_t.sqrt();
-    let t_stat = cate / std_err;
-    Ok(Estimate {
-        cate,
-        std_err,
-        t_stat,
-        p_value: t_sf_two_sided(t_stat, dof),
-        n_treated,
-        n_control,
-    })
+
+    /// Number of `[1, Z]` columns.
+    fn width(&self) -> usize {
+        match self {
+            DenseBlock::OneHot { levels, .. } => levels.saturating_sub(1),
+            DenseBlock::Numeric { .. } => 1,
+        }
+    }
+
+    /// Per `[1, Z]` column of this block, the sum of `w(r)` over the rows
+    /// `r` (ascending) where the column is set, each term scaled by the
+    /// column's value. One-hot columns count `w ≡ 1` exactly.
+    fn column_sums(&self, rows: impl Iterator<Item = usize>, w: impl Fn(usize) -> f64) -> Vec<f64> {
+        match self {
+            DenseBlock::OneHot { levels, of_row, .. } => {
+                let mut acc = vec![0.0f64; *levels];
+                for r in rows {
+                    acc[of_row[r] as usize] += w(r);
+                }
+                acc.into_iter().skip(1).collect()
+            }
+            DenseBlock::Numeric { values, .. } => {
+                let mut acc = 0.0f64;
+                for r in rows {
+                    acc += values[r] * w(r);
+                }
+                vec![acc]
+            }
+        }
+    }
+}
+
+/// The treatment-independent part of one subgroup's linear regression
+/// under one adjustment set (see the module docs).
+#[derive(Debug)]
+pub struct GroupMoments {
+    /// Outcome over the group's rows.
+    y: Vec<f64>,
+    /// Adjustment covariates over the group's rows.
+    blocks: Vec<DenseBlock>,
+    /// Width of `[1, Z]`.
+    p: usize,
+    /// `[1, Z]ᵀ[1, Z]`, row-major `p × p`.
+    gram: Vec<f64>,
+    /// `[1, Z]ᵀy`.
+    zty: Vec<f64>,
+    /// Whether every outcome and numeric covariate value is finite.
+    finite: bool,
+}
+
+impl GroupMoments {
+    /// Build the moments of `group` for `outcome` under `adjustment`.
+    /// Every gram and `[1, Z]ᵀy` entry is a count or a sum in ascending
+    /// row order.
+    pub(crate) fn build(
+        df: &DataFrame,
+        group: &Mask,
+        outcome: &str,
+        adjustment: &[String],
+    ) -> Result<GroupMoments> {
+        let rows = group.to_indices();
+        let n = rows.len();
+        let y = kernel::gather_outcome(df, outcome, group)?;
+        let mut blocks = Vec::with_capacity(adjustment.len());
+        let mut p = 1;
+        for name in adjustment {
+            let block = DenseBlock::gather(df, name, &rows, p)?;
+            p += block.width();
+            blocks.push(block);
+        }
+        let finite = y.iter().all(|v| v.is_finite())
+            && blocks.iter().all(|b| match b {
+                DenseBlock::Numeric { values, .. } => values.iter().all(|v| v.is_finite()),
+                DenseBlock::OneHot { .. } => true,
+            });
+
+        let mut gram = vec![0.0f64; p * p];
+        let mut set = |i: usize, j: usize, v: f64| {
+            gram[i * p + j] = v;
+            gram[j * p + i] = v;
+        };
+        let mut zty = vec![0.0f64; p];
+        set(0, 0, n as f64);
+        zty[0] = y.iter().fold(0.0, |acc, v| acc + v);
+        for (a, block_a) in blocks.iter().enumerate() {
+            let col_a = block_a.col();
+            // Intercept row, diagonal and `Zᵀy` of block a.
+            let ones = block_a.column_sums(0..n, |_| 1.0);
+            for (j, &v) in ones.iter().enumerate() {
+                set(0, col_a + j, v);
+            }
+            match block_a {
+                DenseBlock::OneHot { .. } => {
+                    for (j, &v) in ones.iter().enumerate() {
+                        set(col_a + j, col_a + j, v);
+                    }
+                }
+                DenseBlock::Numeric { values, .. } => {
+                    set(col_a, col_a, block_a.column_sums(0..n, |r| values[r])[0]);
+                }
+            }
+            for (j, v) in block_a.column_sums(0..n, |r| y[r]).into_iter().enumerate() {
+                zty[col_a + j] = v;
+            }
+            // Cross terms with every later block.
+            for block_b in &blocks[a + 1..] {
+                cross_terms(block_a, block_b, n, &mut set);
+            }
+        }
+        Ok(GroupMoments {
+            y,
+            blocks,
+            p,
+            gram,
+            zty,
+            finite,
+        })
+    }
+
+    /// The OLS estimate for `treated` within `group` (the mask these
+    /// moments were built from), `n_treated` being their overlap.
+    fn estimate(&self, group: &Mask, treated: &Mask, n_treated: usize) -> Result<Estimate> {
+        let n = self.y.len();
+        let n_control = n - n_treated;
+        let p = self.p;
+        let k = p + 1;
+        if n <= k + 1 {
+            return Err(CausalError::Estimation(format!(
+                "too few rows ({n}) for {k} regressors"
+            )));
+        }
+        if !self.finite {
+            return Err(CausalError::Estimation(
+                "non-finite outcome or covariate value in the group".into(),
+            ));
+        }
+
+        // Group-dense indices of the treated rows, ascending.
+        let t_words = treated.as_words();
+        let mut t_rows: Vec<usize> = Vec::with_capacity(n_treated);
+        let mut base = 0usize;
+        group.view().for_each_set_word(|wi, g| {
+            let mut w = g & t_words[wi];
+            while w != 0 {
+                let below = g & ((1u64 << w.trailing_zeros()) - 1);
+                t_rows.push(base + below.count_ones() as usize);
+                w &= w - 1;
+            }
+            base += g.count_ones() as usize;
+        });
+
+        // Normal equations of [1, T, Z]: [1, Z] column c sits at design
+        // column c (intercept) or c + 1; the T row is tᵀ[1, T, Z].
+        let d = |c: usize| if c == 0 { 0 } else { c + 1 };
+        let mut gram = Matrix::zeros(k, k);
+        for i in 0..p {
+            for j in 0..p {
+                gram.set(d(i), d(j), self.gram[i * p + j]);
+            }
+        }
+        let n_t = n_treated as f64;
+        for (c, v) in [(0, n_t), (1, n_t)] {
+            gram.set(1, c, v);
+            gram.set(c, 1, v);
+        }
+        for b in &self.blocks {
+            let sums = b.column_sums(t_rows.iter().copied(), |_| 1.0);
+            for (j, v) in sums.into_iter().enumerate() {
+                gram.set(1, b.col() + j + 1, v);
+                gram.set(b.col() + j + 1, 1, v);
+            }
+        }
+        let mut xty = Vec::with_capacity(k);
+        xty.push(self.zty[0]);
+        xty.push(t_rows.iter().fold(0.0, |acc, &r| acc + self.y[r]));
+        xty.extend_from_slice(&self.zty[1..]);
+        let factor = SpdFactor::new(&gram)?;
+        let beta = factor.solve(&xty);
+        if !beta.iter().all(|b| b.is_finite()) {
+            return Err(CausalError::Estimation(
+                "non-finite regression coefficients".into(),
+            ));
+        }
+
+        // Fitted values in column order: intercept, T, then each block
+        // (a one-hot row adds its level's coefficient; the reference
+        // level adds +0, which changes nothing).
+        let mut fitted = vec![0.0f64 + beta[0]; n];
+        for &r in &t_rows {
+            fitted[r] += beta[1];
+        }
+        for b in &self.blocks {
+            match b {
+                DenseBlock::OneHot {
+                    col,
+                    levels,
+                    of_row,
+                } => {
+                    let coef: Vec<f64> = (0..*levels)
+                        .map(|l| if l == 0 { 0.0 } else { beta[col + l] })
+                        .collect();
+                    for (f, &l) in fitted.iter_mut().zip(of_row) {
+                        *f += coef[l as usize];
+                    }
+                }
+                DenseBlock::Numeric { col, values } => {
+                    for (f, v) in fitted.iter_mut().zip(values) {
+                        *f += v * beta[col + 1];
+                    }
+                }
+            }
+        }
+        let rss = self
+            .y
+            .iter()
+            .zip(&fitted)
+            .fold(0.0, |acc, (yi, fi)| acc + (yi - fi) * (yi - fi));
+
+        let dof = (n - k) as f64;
+        let sigma2 = rss / dof;
+        let mut e1 = vec![0.0; k];
+        e1[1] = 1.0;
+        let var_t = sigma2 * factor.solve(&e1)[1];
+        let cate = beta[1];
+        if var_t <= 0.0 || !var_t.is_finite() {
+            return Err(CausalError::Estimation(
+                "degenerate variance for treatment coefficient".into(),
+            ));
+        }
+        let std_err = var_t.sqrt();
+        let t_stat = cate / std_err;
+        Ok(Estimate {
+            cate,
+            std_err,
+            t_stat,
+            p_value: t_sf_two_sided(t_stat, dof),
+            n_treated,
+            n_control,
+        })
+    }
+}
+
+/// The gram entries between two covariate blocks `a` (earlier) and `b`
+/// over `n` group rows, handed to `set(i, j, value)`.
+fn cross_terms(a: &DenseBlock, b: &DenseBlock, n: usize, set: &mut impl FnMut(usize, usize, f64)) {
+    use DenseBlock::{Numeric, OneHot};
+    let (ca, cb) = (a.col(), b.col());
+    match (a, b) {
+        (
+            OneHot {
+                levels: la,
+                of_row: ra,
+                ..
+            },
+            OneHot {
+                levels: lb,
+                of_row: rb,
+                ..
+            },
+        ) => {
+            let mut counts = vec![0.0f64; la * lb];
+            for (&x, &z) in ra.iter().zip(rb) {
+                counts[x as usize * lb + z as usize] += 1.0;
+            }
+            for i in 1..*la {
+                for j in 1..*lb {
+                    set(ca + i - 1, cb + j - 1, counts[i * lb + j]);
+                }
+            }
+        }
+        (OneHot { .. }, Numeric { values, .. }) => {
+            for (i, v) in a.column_sums(0..n, |r| values[r]).into_iter().enumerate() {
+                set(ca + i, cb, v);
+            }
+        }
+        (Numeric { values, .. }, OneHot { .. }) => {
+            for (j, v) in b.column_sums(0..n, |r| values[r]).into_iter().enumerate() {
+                set(ca, cb + j, v);
+            }
+        }
+        (Numeric { values: va, .. }, Numeric { values: vb, .. }) => {
+            set(
+                ca,
+                cb,
+                va.iter().zip(vb).fold(0.0, |acc, (x, z)| acc + x * z),
+            );
+        }
+    }
 }
 
 #[cfg(test)]

@@ -166,8 +166,7 @@ impl MatchIndex {
         stats: &mut HotStats,
     ) -> Result<MatchIndex> {
         let t0 = Instant::now();
-        let mut design =
-            kernel::build_columns(df, adjustment, group, None, workers, &mut stats.tasks)?;
+        let mut design = kernel::build_columns(df, adjustment, group, workers, &mut stats.tasks)?;
         let y = kernel::gather_outcome(df, outcome, group)?;
         let n = design.n();
         for col in &mut design.cols_mut()[1..] {

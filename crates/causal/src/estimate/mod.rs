@@ -22,8 +22,9 @@
 //!
 //! The estimators share a hot-path layer: [`kernel`] holds the blocked
 //! column-major design-assembly and reduction kernels (with within-estimate
-//! parallel fan-out through the work-stealing executor), and [`mod@reference`]
-//! preserves the naive row-major implementations the kernels are
+//! parallel fan-out through the work-stealing executor), [`linear`] runs on
+//! per-(subgroup, adjustment set) group moments instead, and
+//! [`mod@reference`] preserves the naive row-major implementations both are
 //! property-tested against bit for bit.
 //!
 //! `docs/estimators.md` in the repository root documents the assumptions
@@ -73,7 +74,8 @@ pub(crate) fn normal_inference(cate: f64, var: f64) -> (f64, f64, f64) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HotStats {
     /// Nanoseconds spent assembling the columnar design (and gathering the
-    /// outcome / treatment indicator).
+    /// outcome / treatment indicator); for `linear`, looking up or
+    /// building the group moments.
     pub build_ns: u64,
     /// Nanoseconds spent constructing reusable indices (the KD-tree over
     /// the standardized design; zero for estimators without one or when a
@@ -102,10 +104,11 @@ impl HotStats {
 }
 
 /// Per-query context threaded through [`Estimator::estimate_with_ctx`]:
-/// the kernel worker count, the cost-accounting sink, and (for the matching
-/// estimator) the engine's match-index cache together with the querying
-/// subgroup's fingerprint, so one KD-tree index is built per
-/// `(subgroup, adjustment set)` and reused across the intervention sweep.
+/// the kernel worker count, the cost-accounting sink, and the engine's
+/// per-group caches together with the querying subgroup's fingerprint, so
+/// the matching estimator's KD-tree index and the linear estimator's group
+/// moments are built once per `(subgroup, adjustment set)` and reused
+/// across the intervention sweep.
 pub struct EstimateCtx<'a> {
     /// Worker count for kernel fan-out (1 = serial; results are
     /// bit-identical either way).
@@ -114,6 +117,8 @@ pub struct EstimateCtx<'a> {
     pub stats: HotStats,
     /// Match-index cache and the subgroup fingerprint keying it.
     pub index_cache: Option<(&'a crate::cate::MatchIndexCache, u64)>,
+    /// Group-moments cache and the subgroup fingerprint keying it.
+    pub moments_cache: Option<(&'a crate::cate::MomentsCache, u64)>,
 }
 
 /// A treatment-effect estimate with inference statistics.
@@ -298,12 +303,19 @@ impl Estimator for EstimatorKind {
             workers,
             stats,
             index_cache,
+            moments_cache,
         } = ctx;
         let workers = *workers;
         match self {
-            EstimatorKind::Linear => {
-                linear::estimate_with(df, group, treated, outcome, adjustment, workers, stats)
-            }
+            EstimatorKind::Linear => linear::estimate_with(
+                df,
+                group,
+                treated,
+                outcome,
+                adjustment,
+                *moments_cache,
+                stats,
+            ),
             EstimatorKind::Stratified => {
                 stratified::estimate(df, group, treated, outcome, adjustment)
             }
@@ -319,9 +331,11 @@ impl Estimator for EstimatorKind {
                 let shared;
                 let index = match index_cache {
                     Some((cache, group_fp)) => {
-                        shared = cache.get_or_build(
-                            *group_fp, df, group, outcome, adjustment, workers, stats,
-                        )?;
+                        shared = cache.get_or_build(*group_fp, adjustment, || {
+                            matching::MatchIndex::build(
+                                df, group, outcome, adjustment, workers, stats,
+                            )
+                        })?;
                         Some(&*shared)
                     }
                     None => None,

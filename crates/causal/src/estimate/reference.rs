@@ -1,10 +1,12 @@
 //! Naive reference implementations of the estimator hot path.
 //!
 //! These are the straightforward row-major / per-entry loops the blocked
-//! columnar kernels in [`kernel`](super::kernel) replaced. They are kept —
-//! and kept public — for two reasons: `tests/prop_kernels.rs` property-tests
-//! every kernel against its naive counterpart **bit for bit** (the kernels
-//! promise identical f64 results for any worker count and block size), and
+//! columnar kernels in [`kernel`](super::kernel) and the group moments of
+//! [`linear`](super::linear) replaced. They are kept — and kept public —
+//! for two reasons: `tests/prop_kernels.rs` property-tests every kernel
+//! and the linear estimator against its naive counterpart **bit for bit**
+//! (identical f64 results for any worker count, block size, or cache
+//! state), and
 //! `estimator_bench` measures the kernels' speedups against them so the
 //! committed `BENCH_estimators.json` records the win, not just the absolute
 //! numbers.
@@ -19,27 +21,21 @@ use crate::linalg::{inverse_spd, solve_spd, Matrix};
 use faircap_table::stats::t_sf_two_sided;
 use faircap_table::{DataFrame, Mask};
 
-/// Row-by-row design assembly (`[1, T?, Z…]`), transposed into column
-/// vectors so results compare directly against
+/// Row-by-row design assembly (`[1, Z…]`), transposed into column vectors
+/// so results compare directly against
 /// [`kernel::build_columns`](super::kernel::build_columns).
 pub fn design_columns_naive(
     df: &DataFrame,
     adjustment: &[String],
     group: &Mask,
-    treated: Option<&Mask>,
 ) -> Result<Vec<Vec<f64>>> {
     let rows = group.to_indices();
     let n = rows.len();
     let (blocks, z_width) = design::build_blocks(df, adjustment, group)?;
-    let t_cols = treated.is_some() as usize;
-    let k = 1 + t_cols + z_width;
-    let mut cols = vec![vec![0.0f64; n]; k];
+    let mut cols = vec![vec![0.0f64; n]; 1 + z_width];
     let mut scratch = vec![0.0f64; z_width];
     for (r, &row) in rows.iter().enumerate() {
         cols[0][r] = 1.0;
-        if let Some(t) = treated {
-            cols[1][r] = if t.get(row) { 1.0 } else { 0.0 };
-        }
         scratch.fill(0.0);
         let mut offset = 0;
         for b in &blocks {
@@ -47,42 +43,10 @@ pub fn design_columns_naive(
             offset += b.width();
         }
         for (j, &v) in scratch.iter().enumerate() {
-            cols[1 + t_cols + j][r] = v;
+            cols[1 + j][r] = v;
         }
     }
     Ok(cols)
-}
-
-/// Per-entry `XᵀX`: one ascending-row accumulator per `(i, j)` entry, no
-/// zero-skipping — the order the blocked kernel reproduces exactly.
-pub fn gram_naive(cols: &[Vec<f64>]) -> Matrix {
-    let k = cols.len();
-    let n = cols.first().map_or(0, Vec::len);
-    let mut g = Matrix::zeros(k, k);
-    for j in 0..k {
-        for i in 0..=j {
-            let mut acc = 0.0f64;
-            for (x, y) in cols[i].iter().take(n).zip(&cols[j]) {
-                acc += x * y;
-            }
-            g.set(i, j, acc);
-            g.set(j, i, acc);
-        }
-    }
-    g
-}
-
-/// Per-entry `Xᵀy` in ascending row order.
-pub fn xty_naive(cols: &[Vec<f64>], y: &[f64]) -> Vec<f64> {
-    cols.iter()
-        .map(|cj| {
-            let mut a = 0.0f64;
-            for (x, v) in cj.iter().zip(y) {
-                a += x * v;
-            }
-            a
-        })
-        .collect()
 }
 
 /// One IRLS step's reductions, per entry: weighted gram terms accumulate as
@@ -155,7 +119,8 @@ pub fn mat_vec_naive(cols: &[Vec<f64>], beta: &[f64]) -> Vec<f64> {
 }
 
 /// The pre-kernel OLS estimator: row-major design assembly and dense
-/// `Matrix` reductions. Bench baseline for `linear`.
+/// `Matrix` reductions. The bit-for-bit oracle of the moments-based
+/// [`linear`](super::linear) estimator and its bench baseline.
 pub fn linear_naive(
     df: &DataFrame,
     group: &Mask,
@@ -364,38 +329,25 @@ mod tests {
 
     #[test]
     fn naive_design_matches_kernel_bitwise() {
-        let (df, group, treated) = fixture();
+        let (df, group, _) = fixture();
         let adj = vec!["z".to_string()];
-        for with_t in [None, Some(&treated)] {
-            let naive = design_columns_naive(&df, &adj, &group, with_t).unwrap();
-            let fast = kernel::build_columns(&df, &adj, &group, with_t, 1, &mut 0).unwrap();
-            assert_eq!(naive.len(), fast.k());
-            for (a, b) in naive.iter().zip(fast.cols()) {
-                let a_bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                let b_bits: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a_bits, b_bits);
-            }
+        let naive = design_columns_naive(&df, &adj, &group).unwrap();
+        let fast = kernel::build_columns(&df, &adj, &group, 1, &mut 0).unwrap();
+        assert_eq!(naive.len(), fast.k());
+        for (a, b) in naive.iter().zip(fast.cols()) {
+            let a_bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
+            let b_bits: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a_bits, b_bits);
         }
     }
 
     #[test]
     fn naive_reductions_match_kernels_bitwise() {
-        let (df, group, treated) = fixture();
+        let (df, group, _) = fixture();
         let adj = vec!["z".to_string()];
-        let x = kernel::build_columns(&df, &adj, &group, Some(&treated), 1, &mut 0).unwrap();
+        let x = kernel::build_columns(&df, &adj, &group, 1, &mut 0).unwrap();
         let y = kernel::gather_outcome(&df, "o", &group).unwrap();
         let k = x.k();
-
-        let g_naive = gram_naive(x.cols());
-        let g_fast = kernel::gram_columns(x.cols(), 1, &mut 0);
-        let xty_n = xty_naive(x.cols(), &y);
-        let xty_f = kernel::xty_columns(x.cols(), &y, 1, &mut 0);
-        for i in 0..k {
-            assert_eq!(xty_n[i].to_bits(), xty_f[i].to_bits());
-            for j in 0..k {
-                assert_eq!(g_naive.get(i, j).to_bits(), g_fast.get(i, j).to_bits());
-            }
-        }
 
         let w: Vec<f64> = (0..y.len()).map(|r| 0.1 + (r % 5) as f64 * 0.2).collect();
         let resid: Vec<f64> = y.iter().map(|v| v * 0.5 - 1.0).collect();
@@ -427,7 +379,7 @@ mod tests {
         let adj = vec!["z".to_string()];
         let lin_n = linear_naive(&df, &group, &treated, "o", &adj).unwrap();
         let lin_f = crate::estimate::linear::estimate(&df, &group, &treated, "o", &adj).unwrap();
-        assert!((lin_n.cate - lin_f.cate).abs() < 1e-12);
+        assert_eq!(lin_n, lin_f);
         let ipw_n = ipw_naive(&df, &group, &treated, "o", &adj).unwrap();
         let ipw_f = crate::estimate::ipw::estimate(&df, &group, &treated, "o", &adj).unwrap();
         assert!((ipw_n.cate - ipw_f.cate).abs() < 1e-9);

@@ -37,7 +37,8 @@ pub mod discovery;
 
 pub use backdoor::{find_adjustment_set, find_adjustment_set_names, is_valid_backdoor};
 pub use cate::{
-    CacheStats, CateEngine, CateEngineState, CateQuery, EngineHotStats, MatchIndexCache,
+    CacheStats, CateEngine, CateEngineState, CateQuery, EngineHotStats, GroupCache,
+    MatchIndexCache, MomentsCache,
 };
 pub use dsep::{d_separated, d_separated_names};
 pub use error::{CausalError, Result};

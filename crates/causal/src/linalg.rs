@@ -148,64 +148,82 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix> {
     Ok(l)
 }
 
-/// Solve `A x = b` for SPD `A` via Cholesky. Adds escalating ridge jitter to
-/// the diagonal when `A` is singular (rank-deficient designs), which is the
-/// standard remedy for collinear one-hot encodings.
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    match cholesky(a) {
-        Ok(l) => Ok(cholesky_solve(&l, b)),
-        Err(_) => {
-            let n = a.rows;
-            let scale = (0..n).map(|i| a.get(i, i)).fold(0.0f64, f64::max).max(1.0);
-            for mag in [1e-10, 1e-8, 1e-6, 1e-4] {
-                let mut aj = a.clone();
-                for i in 0..n {
-                    aj.set(i, i, aj.get(i, i) + scale * mag);
-                }
-                if let Ok(l) = cholesky(&aj) {
-                    return Ok(cholesky_solve(&l, b));
-                }
+/// A Cholesky factor of a symmetric positive-definite matrix, taken once
+/// and reused for any number of right-hand sides. The factor does not
+/// depend on the right-hand side, so every solve against it returns the
+/// same bits as a separate [`solve_spd`] call on the same matrix.
+#[derive(Debug, Clone)]
+pub(crate) struct SpdFactor {
+    l: Matrix,
+}
+
+impl SpdFactor {
+    /// Factor `a` via Cholesky. Adds escalating ridge jitter to the
+    /// diagonal when `a` is singular (rank-deficient designs), which is the
+    /// standard remedy for collinear one-hot encodings.
+    pub(crate) fn new(a: &Matrix) -> Result<SpdFactor> {
+        if let Ok(l) = cholesky(a) {
+            return Ok(SpdFactor { l });
+        }
+        let n = a.rows;
+        let scale = (0..n).map(|i| a.get(i, i)).fold(0.0f64, f64::max).max(1.0);
+        for mag in [1e-10, 1e-8, 1e-6, 1e-4] {
+            let mut aj = a.clone();
+            for i in 0..n {
+                aj.set(i, i, aj.get(i, i) + scale * mag);
             }
-            Err(CausalError::Estimation(
-                "linear system unsolvable even with ridge regularization".into(),
-            ))
+            if let Ok(l) = cholesky(&aj) {
+                return Ok(SpdFactor { l });
+            }
         }
+        Err(CausalError::Estimation(
+            "linear system unsolvable even with ridge regularization".into(),
+        ))
+    }
+
+    /// Solve `A x = b` by forward/back substitution with the factor.
+    pub(crate) fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let l = &self.l;
+        let n = l.rows();
+        // L y = b
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let mut sum = b[i];
+            for k in 0..i {
+                sum -= l.get(i, k) * y[k];
+            }
+            y[i] = sum / l.get(i, i);
+        }
+        // Lᵀ x = y
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut sum = y[i];
+            for k in i + 1..n {
+                sum -= l.get(k, i) * x[k];
+            }
+            x[i] = sum / l.get(i, i);
+        }
+        x
     }
 }
 
-/// Forward/back substitution with a Cholesky factor.
-fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
-    let n = l.rows();
-    // L y = b
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut sum = b[i];
-        for k in 0..i {
-            sum -= l.get(i, k) * y[k];
-        }
-        y[i] = sum / l.get(i, i);
-    }
-    // Lᵀ x = y
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut sum = y[i];
-        for k in i + 1..n {
-            sum -= l.get(k, i) * x[k];
-        }
-        x[i] = sum / l.get(i, i);
-    }
-    x
+/// Solve `A x = b` for SPD `A` via one ridge-stabilized Cholesky factor
+/// (escalating diagonal jitter when `A` is singular, the standard remedy
+/// for collinear one-hot encodings).
+pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+    Ok(SpdFactor::new(a)?.solve(b))
 }
 
-/// Inverse of an SPD matrix via Cholesky (ridge-stabilized like
-/// [`solve_spd`]). Used for OLS standard errors.
+/// Inverse of an SPD matrix from one ridge-stabilized Cholesky factor
+/// (column `c` is the solve against the unit vector `e_c`).
 pub fn inverse_spd(a: &Matrix) -> Result<Matrix> {
     let n = a.rows;
+    let factor = SpdFactor::new(a)?;
     let mut inv = Matrix::zeros(n, n);
     let mut e = vec![0.0; n];
     for col in 0..n {
         e[col] = 1.0;
-        let x = solve_spd(a, &e)?;
+        let x = factor.solve(&e);
         for r in 0..n {
             inv.set(r, col, x[r]);
         }
@@ -299,5 +317,75 @@ mod tests {
         let beta = solve_spd(&x.gram(), &x.t_mul_vec(&y)).unwrap();
         assert!(close(beta[0], 3.0));
         assert!(close(beta[1], 2.0));
+    }
+
+    /// The per-call ridge ladder the shared factor replaced: one Cholesky
+    /// (and, on failure, one ladder walk) per solve.
+    fn solve_spd_per_call(a: &Matrix, b: &[f64]) -> Vec<f64> {
+        let n = a.rows();
+        let substitute = |l: &Matrix| {
+            let mut y = vec![0.0; n];
+            for i in 0..n {
+                let mut sum = b[i];
+                for k in 0..i {
+                    sum -= l.get(i, k) * y[k];
+                }
+                y[i] = sum / l.get(i, i);
+            }
+            let mut x = vec![0.0; n];
+            for i in (0..n).rev() {
+                let mut sum = y[i];
+                for k in i + 1..n {
+                    sum -= l.get(k, i) * x[k];
+                }
+                x[i] = sum / l.get(i, i);
+            }
+            x
+        };
+        if let Ok(l) = cholesky(a) {
+            return substitute(&l);
+        }
+        let scale = (0..n).map(|i| a.get(i, i)).fold(0.0f64, f64::max).max(1.0);
+        for mag in [1e-10, 1e-8, 1e-6, 1e-4] {
+            let mut aj = a.clone();
+            for i in 0..n {
+                aj.set(i, i, aj.get(i, i) + scale * mag);
+            }
+            if let Ok(l) = cholesky(&aj) {
+                return substitute(&l);
+            }
+        }
+        panic!("unsolvable");
+    }
+
+    #[test]
+    fn shared_factor_matches_per_call_solves_bitwise() {
+        let spd = Matrix::from_rows(&[&[4.0, 2.0, 0.5], &[2.0, 3.0, 1.0], &[0.5, 1.0, 2.0]]);
+        // Rank 2: the first two rows coincide, so plain Cholesky hits an
+        // exact zero pivot and the ridge ladder decides the factor.
+        let ridge = Matrix::from_rows(&[&[1.0, 1.0, 0.5], &[1.0, 1.0, 0.5], &[0.5, 0.5, 2.0]]);
+        assert!(cholesky(&ridge).is_err());
+        for a in [&spd, &ridge] {
+            let b = [0.7, -1.3, 2.9];
+            let got: Vec<u64> = solve_spd(a, &b)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = solve_spd_per_call(a, &b)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want);
+            let inv = inverse_spd(a).unwrap();
+            for col in 0..3 {
+                let mut e = [0.0; 3];
+                e[col] = 1.0;
+                let want = solve_spd_per_call(a, &e);
+                for r in 0..3 {
+                    assert_eq!(inv.get(r, col).to_bits(), want[r].to_bits());
+                }
+            }
+        }
     }
 }

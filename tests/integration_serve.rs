@@ -63,10 +63,10 @@ fn boot(config: ServeConfig) -> (Server, ServeClient) {
     (server, client)
 }
 
-/// A session whose cold solve takes long enough (~150 ms debug, ~20 ms
-/// release) for a metrics poll loop to observe it in flight — the 2k-row
-/// fixture above now solves in single-digit milliseconds since the kernel
-/// layer landed, faster than any reasonable polling interval.
+/// A session whose cold solve takes long enough (~75 ms debug with the
+/// default linear estimator, ~350 ms under IPW) for a metrics poll loop
+/// to observe it in flight — the 2k-row fixture above solves in
+/// single-digit milliseconds, faster than any reasonable polling interval.
 fn slow_session() -> PrescriptionSession {
     let ds = faircap::data::so::generate(60_000, 3);
     let keep = ["gdp_group", "age", "certifications", "training", "salary"];
@@ -490,24 +490,10 @@ fn pipelined_identical_solves_coalesce_into_one_underlying_solve() {
 #[test]
 fn waiter_disconnect_does_not_cancel_the_shared_solve() {
     // This test needs the cold solve to outlast two 50 ms sleeps, so it
-    // serves a 15× larger dataset than the other tests (a 2 k-row cold
-    // solve can finish in tens of milliseconds in a debug build).
-    let ds = faircap::data::so::generate(30_000, 3);
-    let keep = ["gdp_group", "age", "certifications", "training", "salary"];
-    let df = ds.df.select(&keep).unwrap();
-    let dag = Dag::parse_edge_list(
-        "gdp_group -> salary\nage -> salary\ncertifications -> salary\ntraining -> salary",
-    )
-    .unwrap();
-    let slow = FairCap::builder()
-        .data(df)
-        .dag(dag)
-        .outcome("salary")
-        .immutable(["gdp_group", "age"])
-        .mutable(["certifications", "training"])
-        .protected(Pattern::of_eq(&[("gdp_group", Value::from("low"))]))
-        .build()
-        .unwrap();
+    // serves the 60k-row fixture under IPW, whose IRLS propensity fits
+    // keep a cold solve in the hundreds of milliseconds in a debug build
+    // (the moments-based linear estimator solves it in tens).
+    let slow = slow_session();
     let registry = Arc::new(SessionRegistry::new());
     registry.register("so", slow);
     let server = Server::start(
@@ -521,7 +507,7 @@ fn waiter_disconnect_does_not_cancel_the_shared_solve() {
     .unwrap();
     let client = server.client();
     client.wait_ready(Duration::from_secs(30)).unwrap();
-    let body = r#"{"max_rules": 4}"#;
+    let body = r#"{"max_rules": 4, "estimator": "ipw"}"#;
 
     // Conn A leads with a cold (slow) solve.
     let survivor = {
